@@ -127,6 +127,13 @@ _COMPLETE = 1
 _ARRIVAL = 2
 
 
+def _arrival_error(at: float, last: float) -> DeploymentError:
+    """The error for an arrival time outside ``[last, inf)``, NaN included."""
+    if at < last:
+        return DeploymentError(f"arrival {at} is in the past (last={last})")
+    return DeploymentError(f"arrival time {at} is not finite")
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Autoscaling policy for one application's container fleet.
@@ -535,7 +542,6 @@ class ClusterPlatform:
         self._dropped: set[int] = set()
         self._last_arrival = self.clock.now()
         self._stream: _StreamSinks | None = None
-        self._stream_accumulator: WindowAccumulator | None = None
         #: Observability sink for the active stream (None = no telemetry;
         #: only consulted off the fast path, at scaling decisions).
         self._obs = None
@@ -626,10 +632,8 @@ class ClusterPlatform:
                 f"(platform knows {sorted(self.qos_classes)})"
             )
         arrival = self.clock.now() if at is None else at
-        if arrival < self._last_arrival:
-            raise DeploymentError(
-                f"arrival {arrival} is in the past (last={self._last_arrival})"
-            )
+        if not self._last_arrival <= arrival < math.inf:
+            raise _arrival_error(arrival, self._last_arrival)
         self._last_arrival = arrival
         token = self._next_token
         self._next_token = token + 1
@@ -693,6 +697,7 @@ class ClusterPlatform:
         flush_at: float | None = None,
         obs=None,
         finalize: bool = True,
+        on_boundary: Callable[[float, int], float] | None = None,
     ) -> WindowedSummary | None:
         """Consume an arrival stream incrementally at bounded memory.
 
@@ -727,13 +732,34 @@ class ClusterPlatform:
         of the sharding exactness argument (see
         :mod:`repro.workloads.shard`).
 
-        ``obs`` installs an observability sink (journal) for the run —
-        see :meth:`stream_begin`.  ``finalize=False`` skips the final
-        summarization and returns ``None`` — for shard workers that ship
-        the accumulator's raw state instead (see
+        ``on_boundary(at, consumed) -> next_edge_s`` is the loop's one
+        window-boundary hook: it is called before the first arrival is
+        fed, and again before every arrival at or past the edge it last
+        returned, with ``consumed`` the count of arrivals this call has
+        fed so far.  The platform's state is then exactly "``consumed``
+        arrivals in", so the hook may serialize it —
+        :func:`repro.faas.snapshot.run_stream_checkpointed` writes its
+        checkpoints from here.  Arrival times are validated before the
+        hook sees them.
+
+        ``obs`` installs an observability sink (duck-typed to
+        :class:`repro.obs.journal.JournalWriter`): the per-event sinks
+        tee into it, scaling decisions are journaled from :meth:`_scale`,
+        and sampled trace spans flow from :meth:`_start_service` — all
+        off the event loop's fast paths, and all absent when ``obs`` is
+        ``None``.  Its ``flush_boundary`` is the boundary hook unless
+        ``on_boundary`` is given (which then owns the journal's
+        flushes).  ``finalize=False`` skips the final summarization and
+        returns ``None`` — for shard workers that ship the accumulator's
+        raw state instead (see
         :meth:`repro.metrics.WindowAccumulator.to_wire`).
         """
-        self.stream_begin(accumulator, on_record, obs=obs)
+        if self._stream is not None:
+            raise WorkloadError("a streaming replay is already in progress")
+        self._stream = _StreamSinks.into(accumulator, on_record, obs=obs)
+        self._obs = obs
+        if on_boundary is None and obs is not None:
+            on_boundary = obs.flush_boundary
         token = self._next_token
         last = self._last_arrival
         try:
@@ -749,23 +775,17 @@ class ClusterPlatform:
             # hoisting it keeps the emptiness probe a local truth test;
             # any scheduled callback falls back to the full advance_to.
             clock_events = clock._events
-            drain = self._drain_until
-            # Profiling swaps a probed _drain_until onto the instance;
-            # the inline drain below would bypass it, so a profiled
-            # stream keeps the delegate call (accuracy over the last
-            # sliver of call overhead, exactly while measuring).
-            probed = "_drain_until" in self.__dict__
+            step = self._step
             on_ready = self._on_ready
             dispatch = self._dispatch
             arrive = self._arrive
             qos_classes = self.qos_classes
             observe_arrival = accumulator.observe_arrival
-            # Journal flushing is driver-screened: one float compare per
-            # arrival against the journal's next window edge, with the
-            # flush call (and consumed-count bookkeeping) paid only at
-            # boundaries.  obs=None pins the screen at +inf — the loop
-            # body is then identical to the pre-observability one.
-            obs_flush = math.inf if obs is None else obs.next_flush_s
+            # The boundary screen: one float compare per arrival against
+            # the hook's next edge, with the hook call paid only at
+            # boundaries.  Without a hook the edge is +inf, which no
+            # validated (finite) arrival reaches.
+            edge = math.inf if on_boundary is None else -math.inf
             fed = 0
             for item in arrivals:
                 # Untagged 3-tuples stay on the allocation-free unpack;
@@ -775,9 +795,16 @@ class ClusterPlatform:
                     qos = None
                 else:
                     at, name, entry, qos = item
-                if at >= obs_flush:
-                    obs.flush_boundary(at, fed)
-                    obs_flush = obs.next_flush_s
+                # One compare rejects past, NaN and infinite times alike,
+                # before the hook or the accumulator can see them.
+                if not last <= at < math.inf:
+                    raise _arrival_error(at, last)
+                if at >= edge:
+                    # The hook may serialize the platform: publish the
+                    # loop's cursors first (platform_state reads them).
+                    self._next_token = token
+                    self._last_arrival = last
+                    edge = on_boundary(at, fed)
                 fed += 1
                 observe_arrival(at)
                 # Streamed arrivals bypass the event heap: the submit()
@@ -785,10 +812,7 @@ class ClusterPlatform:
                 # before the arrival is drained (all such events precede
                 # an arrival at the same instant in heap order — READY
                 # and COMPLETE kinds sort first), and the arrival handler
-                # is called directly.  The post-arrival drain keeps
-                # zero-service completions at the same timestamp
-                # processed before the next arrival is pulled, exactly
-                # as the heap path interleaved them.
+                # is called directly.
                 fleet = fleets.get(name)
                 if fleet is None:
                     raise DeploymentError(f"unknown app: {name!r}")
@@ -799,44 +823,35 @@ class ClusterPlatform:
                         f"unknown QoS class {qos!r} "
                         f"(platform knows {sorted(qos_classes)})"
                     )
-                if at < last:
-                    raise DeploymentError(
-                        f"arrival {at} is in the past (last={last})"
-                    )
                 last = at
-                if events and events[0][0] <= at:
-                    if probed:
-                        drain(at)
+                # The _step loop inlined (the call per event is
+                # measurable at replay rates), with _on_complete — the
+                # overwhelming event kind — flattened into the COMPLETE
+                # arm.  Behaviour is identical to those two methods: same
+                # pops, same ordering (the golden regression pins it).
+                while events and events[0][0] <= at:
+                    e_at, kind, _, payload = heappop(events)
+                    if e_at > clock._now:
+                        if clock_events:
+                            advance_to(e_at)
+                        else:
+                            clock._now = e_at
+                    if kind == _COMPLETE:
+                        c_fleet = fleets[payload[0]]
+                        container = c_fleet.by_seq.get(payload[1])
+                        if container is not None:
+                            c_fleet.in_flight -= 1
+                            active = container.active - 1
+                            container.active = active
+                            container.last_release = e_at
+                            if active == 0:
+                                container.idle_since = e_at
+                            if c_fleet.queue:
+                                dispatch(c_fleet, e_at)
+                    elif kind == _READY:
+                        on_ready(e_at, *payload)
                     else:
-                        # _drain_until inlined (the call per arrival is
-                        # measurable at replay rates), with _on_complete
-                        # — the overwhelming event kind — flattened into
-                        # the COMPLETE arm.  Behaviour is identical to
-                        # those two methods: same pops, same ordering
-                        # (the golden regression pins it).
-                        while events and events[0][0] <= at:
-                            e_at, kind, _, payload = heappop(events)
-                            if e_at > clock._now:
-                                if clock_events:
-                                    advance_to(e_at)
-                                else:
-                                    clock._now = e_at
-                            if kind == _COMPLETE:
-                                c_fleet = fleets[payload[0]]
-                                container = c_fleet.by_seq.get(payload[1])
-                                if container is not None:
-                                    c_fleet.in_flight -= 1
-                                    active = container.active - 1
-                                    container.active = active
-                                    container.last_release = e_at
-                                    if active == 0:
-                                        container.idle_since = e_at
-                                    if c_fleet.queue:
-                                        dispatch(c_fleet, e_at)
-                            elif kind == _READY:
-                                on_ready(e_at, *payload)
-                            else:
-                                self._on_arrival(e_at, *payload)
+                        self._on_arrival(e_at, *payload)
                 if at > clock._now:
                     if clock_events:
                         advance_to(at)
@@ -844,37 +859,11 @@ class ClusterPlatform:
                         clock._now = at
                 arrive(fleet, at, entry, token, qos)
                 token += 1
-                if events and events[0][0] <= at:
-                    if probed:
-                        drain(at)
-                    else:
-                        # Same inline drain as above (see that comment);
-                        # the post-arrival copy keeps zero-service
-                        # completions at == at ahead of the next arrival.
-                        while events and events[0][0] <= at:
-                            e_at, kind, _, payload = heappop(events)
-                            if e_at > clock._now:
-                                if clock_events:
-                                    advance_to(e_at)
-                                else:
-                                    clock._now = e_at
-                            if kind == _COMPLETE:
-                                c_fleet = fleets[payload[0]]
-                                container = c_fleet.by_seq.get(payload[1])
-                                if container is not None:
-                                    c_fleet.in_flight -= 1
-                                    active = container.active - 1
-                                    container.active = active
-                                    container.last_release = e_at
-                                    if active == 0:
-                                        container.idle_since = e_at
-                                    if c_fleet.queue:
-                                        dispatch(c_fleet, e_at)
-                            elif kind == _READY:
-                                on_ready(e_at, *payload)
-                            else:
-                                self._on_arrival(e_at, *payload)
-            step = self._step
+                # Zero-service completions at == at run before the next
+                # arrival is pulled, exactly as the heap path interleaved
+                # them.  Rare enough to take the reference body.
+                while events and events[0][0] <= at:
+                    step()
             while events:
                 step()
             self._flush_provisioned(flush_at)
@@ -882,7 +871,6 @@ class ClusterPlatform:
             self._next_token = token
             self._last_arrival = last
             self._stream = None
-            self._stream_accumulator = None
             self._obs = None
             self._unprofile_loop()
         # ``finalize=False`` leaves summarization to the caller: shard
@@ -891,123 +879,21 @@ class ClusterPlatform:
         # merged state exactly once (repro.metrics.windows.merge_wire).
         return accumulator.finalize() if finalize else None
 
-    # -- incremental streaming surface ------------------------------------
-    #
-    # run_stream() in three resumable pieces, for drivers that need to act
-    # between arrivals (repro.faas.snapshot writes checkpoints there).
-    # stream_begin + N x stream_feed + stream_end is bit-identical to one
-    # run_stream call over the same arrivals.
-
-    def stream_begin(
-        self,
-        accumulator: WindowAccumulator,
-        on_record: Callable[[InvocationRecord], None] | None = None,
-        obs=None,
-    ) -> None:
-        """Install streaming sinks (see :meth:`run_stream`).
-
-        ``obs`` is an observability sink (duck-typed to
-        :class:`repro.obs.journal.JournalWriter`): the per-event sinks
-        tee into it, scaling decisions are journaled from :meth:`_scale`,
-        and sampled trace spans flow from :meth:`_start_service` — all
-        off the event loop's fast paths, and all absent when ``obs`` is
-        ``None``.
-        """
-        if self._stream is not None:
-            raise WorkloadError("a streaming replay is already in progress")
-        self._stream = _StreamSinks.into(accumulator, on_record, obs=obs)
-        self._stream_accumulator = accumulator
-        self._obs = obs
-
-    def stream_feed(
-        self, at: float, name: str, entry: str, qos: str | None = None
-    ) -> None:
-        """Feed one arrival and drain the event heap up to its time.
-
-        Journal boundary flushing is the *driver's* job in this mode
-        (see :func:`repro.faas.snapshot.run_stream_checkpointed`) — the
-        checkpoint loop already tracks window crossings and the consumed
-        count, so no obs code runs here.
-        """
-        self._stream_accumulator.observe_arrival(at)
-        # Same heap bypass as run_stream: inline submit() validation,
-        # drain-to-at, direct arrival handling, post-arrival drain.
-        fleet = self._fleets.get(name)
-        if fleet is None:
-            raise DeploymentError(f"unknown app: {name!r}")
-        if entry not in fleet.entries:
-            raise DeploymentError(f"app {name!r} has no entry {entry!r}")
-        if qos is not None and qos not in self.qos_classes:
-            raise SpecError(
-                f"unknown QoS class {qos!r} "
-                f"(platform knows {sorted(self.qos_classes)})"
-            )
-        if at < self._last_arrival:
-            raise DeploymentError(
-                f"arrival {at} is in the past (last={self._last_arrival})"
-            )
-        self._last_arrival = at
-        token = self._next_token
-        self._next_token = token + 1
-        events = self._events
-        if events and events[0][0] <= at:
-            self._drain_until(at)
-        clock = self.clock
-        if at > clock.now():
-            clock.advance_to(at)
-        self._arrive(fleet, at, entry, token, qos)
-        if events and events[0][0] <= at:
-            self._drain_until(at)
-
-    def stream_end(self, flush_at: float | None = None) -> WindowedSummary:
-        """Drain remaining events, flush tails, finalize the summary."""
-        try:
-            step = self._step
-            while self._events:
-                step()
-            self._flush_provisioned(flush_at)
-        finally:
-            accumulator = self._stream_accumulator
-            self._stream = None
-            self._stream_accumulator = None
-            self._obs = None
-            self._unprofile_loop()
-        return accumulator.finalize()
-
-    def stream_abort(self) -> None:
-        """Uninstall streaming sinks after an interrupted stream.
-
-        Leaves fleet/heap state exactly as the last processed event left
-        it, so a checkpoint written earlier stays consistent; the
-        platform refuses further streaming until a fresh
-        :meth:`stream_begin`.
-        """
-        self._stream = None
-        self._stream_accumulator = None
-        self._obs = None
-        self._unprofile_loop()
-
     def profile_loop(self, profiler) -> None:
-        """Split the event loop into profiler sub-phases for one stream.
+        """Time the loop's scaling consultations as a profiler sub-phase.
 
-        Installs :meth:`repro.obs.profile.PhaseProfiler.probe` wrappers
-        over the two hot delegates the streaming loop re-reads from the
-        instance — ``_drain_until`` (event-heap drains: READY/COMPLETE
-        processing) and ``_scale`` (policy consultation + spawns) — by
-        shadowing the class methods with instance attributes.  The
-        remainder of the loop's wall time (arrival handling + dispatch)
-        is then derivable as ``event-loop`` minus the two sub-phases
-        (see the bench's ``event-loop-dispatch`` derived phase).  The
-        wrappers are removed when the stream ends or aborts, so probes
-        never outlive the run they measured.
+        Shadows ``_scale`` (policy consultation + spawns) with a
+        :meth:`repro.obs.profile.PhaseProfiler.probe` wrapper under
+        ``"event-loop-scale"``.  The loop already looks ``_scale`` up on
+        the instance per call, so the probe changes no code path; it is
+        removed when the stream ends, so it never outlives the run it
+        measured.
         """
         self._unprofile_loop()
-        self._drain_until = profiler.probe("event-loop-drain", self._drain_until)
         self._scale = profiler.probe("event-loop-scale", self._scale)
 
     def _unprofile_loop(self) -> None:
-        """Drop any installed sub-phase probes (restore class methods)."""
-        self.__dict__.pop("_drain_until", None)
+        """Drop an installed ``_scale`` probe (restore the class method)."""
         self.__dict__.pop("_scale", None)
 
     def _flush_provisioned(self, flush_at: float | None = None) -> None:
@@ -1199,31 +1085,6 @@ class ClusterPlatform:
         else:
             self._on_complete(at, *payload)
         return True
-
-    def _drain_until(self, at: float) -> None:
-        """Process every heap event at or before ``at``.
-
-        The :meth:`_step` loop with the per-event function call and
-        emptiness re-test inlined — the streaming replay's drain is hot
-        enough that the call overhead alone is measurable.  Behaviour is
-        exactly ``while events and events[0][0] <= at: self._step()``.
-        """
-        events = self._events
-        clock = self.clock
-        clock_now = clock.now
-        advance_to = clock.advance_to
-        on_ready = self._on_ready
-        on_complete = self._on_complete
-        while events and events[0][0] <= at:
-            e_at, kind, _, payload = heappop(events)
-            if e_at > clock_now():
-                advance_to(e_at)
-            if kind == _READY:
-                on_ready(e_at, *payload)
-            elif kind == _COMPLETE:
-                on_complete(e_at, *payload)
-            else:
-                self._on_arrival(e_at, *payload)
 
     def _on_arrival(
         self,

@@ -897,15 +897,14 @@ class RegionFederation:
             platform._stream = sinks
             platform._obs = obs
         try:
-            # Same driver-screened journal flushing as the cluster loop:
-            # one float compare per arrival, obs work only at boundaries.
-            obs_flush = math.inf if obs is None else obs.next_flush_s
+            # Same boundary screen as the cluster loop: one float compare
+            # per arrival, journal work only at window edges.
+            obs_flush = math.inf if obs is None else -math.inf
             fed = 0
             for item in arrivals:
                 at = item[0]
                 if at >= obs_flush:
-                    obs.flush_boundary(at, fed)
-                    obs_flush = obs.next_flush_s
+                    obs_flush = obs.flush_boundary(at, fed)
                 fed += 1
                 accumulator.observe_arrival(at)
                 self.submit(

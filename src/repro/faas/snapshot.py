@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
@@ -548,17 +549,17 @@ def run_stream_checkpointed(
 ) -> WindowedSummary:
     """:meth:`ClusterPlatform.run_stream` with durable window checkpoints.
 
-    Bit-identical to a plain ``run_stream`` over the same arrivals (it
-    drives the same ``stream_begin``/``stream_feed``/``stream_end``
-    machinery), with one addition: before feeding the first arrival of
-    each new ``every_s`` period (default: the accumulator's window), the
-    platform + accumulator state and the count of arrivals consumed so
-    far are written to ``path``.  If ``path`` already exists, the run
-    *resumes* from it instead of starting over: the caller hands in the
-    platform freshly deployed, the accumulator freshly configured, and
-    the arrival stream freshly compiled — everything deterministic — and
-    the driver restores the serialized state and skips the consumed
-    prefix.  On success the checkpoint is deleted unless ``keep``.
+    Bit-identical to a plain ``run_stream`` over the same arrivals — it
+    *is* that loop, with a window-boundary hook: before feeding the
+    first arrival of each new ``every_s`` period (default: the
+    accumulator's window), the platform + accumulator state and the
+    count of arrivals consumed so far are written to ``path``.  If
+    ``path`` already exists, the run *resumes* from it instead of
+    starting over: the caller hands in the platform freshly deployed,
+    the accumulator freshly configured, and the arrival stream freshly
+    compiled — everything deterministic — and the driver restores the
+    serialized state and skips the consumed prefix.  On success the
+    checkpoint is deleted unless ``keep``.
 
     An interrupted run (crash, KeyboardInterrupt) leaves the newest
     checkpoint on disk; rerunning the same command continues it.
@@ -566,13 +567,14 @@ def run_stream_checkpointed(
     ``journal`` (a not-yet-opened :class:`repro.obs.journal.JournalWriter`)
     journals the run: the driver opens it — truncating to the restored
     boundary on resume — installs it as the platform's observability
-    sink, flushes it *before* every checkpoint write (so the journal's
-    boundary marker is always at least as durable as the checkpoint that
-    references it), and seals it when the stream completes.  Its window
-    size must equal the checkpoint period, or marker and checkpoint
-    boundaries would drift apart.  ``profiler``
+    sink, flushes it from the same hook *before* every checkpoint write
+    (so the journal's boundary marker is always at least as durable as
+    the checkpoint that references it), and seals it when the stream
+    completes.  Its window size must equal the checkpoint period, or
+    marker and checkpoint boundaries would drift apart.  ``profiler``
     (:class:`repro.obs.profile.PhaseProfiler`) accumulates
-    checkpoint-write wall time under the ``"checkpoint-write"`` phase.
+    checkpoint-write wall time under the ``"checkpoint-write"`` phase
+    and scaling consultations under ``"event-loop-scale"``.
     """
     path = Path(path)
     reject_stale_scratch(path)
@@ -606,56 +608,53 @@ def run_stream_checkpointed(
                 "protocol"
             )
         journal.resume(consumed)
-    platform.stream_begin(accumulator, on_record, obs=journal)
-    if profiler is not None:
-        # Event-loop sub-phases (drain vs scale vs the arrival/dispatch
-        # remainder); the probes uninstall at stream end/abort.
-        platform.profile_loop(profiler)
-    feed = platform.stream_feed
     boundary: int | None = None
-    try:
-        stream = iter(arrivals)
-        if consumed:
-            stream = islice(stream, consumed, None)
-        for item in stream:
-            at = item[0]
-            index = int(at // every)
-            if boundary is None:
-                boundary = index
-                # Anchor the journal's boundary too (no flush on the
-                # first arrival — or on the resumed crossing arrival,
-                # whose marker is already on disk).
-                if journal is not None:
-                    journal.flush_boundary(at, consumed)
-            elif index > boundary:
-                # Journal first: its boundary marker must be durable
-                # before the checkpoint that will look for it on resume.
-                if journal is not None:
-                    journal.flush_boundary(at, consumed)
-                if profiler is None:
+
+    def at_boundary(at: float, fed: int) -> float:
+        # The first call only anchors the period (and the journal's
+        # boundary: on resume, its marker is already on disk); later
+        # calls act once per new period.  Journal first: its boundary
+        # marker must be durable before the checkpoint that will look
+        # for it on resume.
+        nonlocal boundary
+        index = int(at // every)
+        if boundary is None or index > boundary:
+            if journal is not None:
+                journal.flush_boundary(at, consumed + fed)
+            if boundary is not None:
+                timed = (
+                    nullcontext()
+                    if profiler is None
+                    else profiler.phase("checkpoint-write")
+                )
+                with timed:
                     write_checkpoint(
-                        path, platform, accumulator, consumed, fingerprint
+                        path, platform, accumulator, consumed + fed, fingerprint
                     )
-                else:
-                    with profiler.phase("checkpoint-write"):
-                        write_checkpoint(
-                            path, platform, accumulator, consumed, fingerprint
-                        )
-                boundary = index
-            if len(item) == 3:
-                feed(at, item[1], item[2])
-            else:
-                feed(at, item[1], item[2], qos=item[3])
-            consumed += 1
+            boundary = index
+        return (boundary + 1) * every
+
+    stream = iter(arrivals)
+    if consumed:
+        stream = islice(stream, consumed, None)
+    if profiler is not None:
+        platform.profile_loop(profiler)
+    try:
+        summary = platform.run_stream(
+            stream,
+            accumulator,
+            on_record,
+            flush_at=flush_at,
+            obs=journal,
+            on_boundary=at_boundary,
+        )
     except BaseException:
-        # Keep the newest on-disk checkpoint for resume, but leave the
-        # platform out of streaming mode so state stays inspectable; the
-        # journal likewise stays at its last durable boundary.
-        platform.stream_abort()
+        # Keep the newest on-disk checkpoint for resume (run_stream has
+        # already uninstalled its sinks); the journal likewise stays at
+        # its last durable boundary.
         if journal is not None:
             journal.abort()
         raise
-    summary = platform.stream_end(flush_at)
     if journal is not None:
         journal.close()
     if not keep:

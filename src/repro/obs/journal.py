@@ -29,8 +29,8 @@ Design constraints, in order:
   same scan.
 * **Zero cost when off.**  No journal code runs inside the event loop's
   fast paths (``_on_arrival`` / ``_on_ready``); the platforms consult the
-  sink only through pre-built closures installed at ``stream_begin``
-  time, identical to the non-journaled ones when no sink is given.
+  sink only through pre-built closures installed when ``run_stream``
+  starts, identical to the non-journaled ones when no sink is given.
 
 Row kinds (every row is one JSON object per line, with a ``kind`` key):
 
@@ -101,11 +101,13 @@ class JournalWriter:
     Doubles as the ``ObsSink`` the platforms feed: the ``shed`` /
     ``provision`` / ``scaling_decision`` / ``span`` methods accumulate in
     memory and everything is written (and fsynced) at window boundaries.
-    Flushing is *driver-screened*: the stream loop compares each arrival
-    time against :attr:`next_flush_s` (one float compare per request) and
-    calls :meth:`flush_boundary` only at window edges — the checkpoint
-    driver makes the same call just *before* writing a checkpoint, so the
-    journal is never behind the checkpoint.
+    Flushing is *loop-screened*: :meth:`flush_boundary` is a
+    window-boundary hook of
+    :meth:`~repro.faas.cluster.ClusterPlatform.run_stream` — the loop
+    compares each arrival time against the edge it returned (one float
+    compare per request) and calls it again only at that edge.  The
+    checkpoint hook makes the same call just *before* writing a
+    checkpoint, so the journal is never behind the checkpoint.
 
     Lifecycle: construct, then :meth:`begin` (fresh file) or
     :meth:`resume` (truncate to a restored checkpoint's boundary), feed,
@@ -135,11 +137,6 @@ class JournalWriter:
         self.span_interval = (
             max(1, round(1.0 / trace_sample)) if trace_sample > 0.0 else 0
         )
-        #: The arrival time at which the stream driver must call
-        #: :meth:`flush_boundary` next.  The driver screens each arrival
-        #: with one float compare (``at >= next_flush_s``) — the journal's
-        #: only per-request footprint.
-        self.next_flush_s = -math.inf
         self._file = None
         self._boundary: int | None = None
         self._consumed = 0
@@ -175,7 +172,6 @@ class JournalWriter:
         self._file = open(self.path, "w", encoding="utf-8")
         self._file.write(json.dumps(self._header(), sort_keys=True) + "\n")
         self._file.flush()
-        self.next_flush_s = -math.inf
         return self
 
     def resume(self, consumed: int) -> "JournalWriter":
@@ -220,7 +216,6 @@ class JournalWriter:
         self._file.seek(0, os.SEEK_END)
         self._boundary = int(marker_row["boundary"])
         self._consumed = consumed
-        self.next_flush_s = (self._boundary + 1) * self.window_s
         return self
 
     def _check_header(self, row: dict) -> None:
@@ -295,17 +290,18 @@ enable_source_counts` switched the accumulator over to per-source
             for app, tally in counts.items()
         }
 
-    def flush_boundary(self, at_s: float, consumed: int) -> None:
+    def flush_boundary(self, at_s: float, consumed: int) -> float:
         """Advance to the window holding arrival time ``at_s``, flushing.
 
-        The stream driver calls this whenever an arrival passes the
-        ``next_flush_s`` screen, *before* feeding it, with ``consumed``
-        the count of arrivals already fed — the same position the
-        checkpoint protocol records, so the boundary marker written here
-        lands just ahead of the matching checkpoint.  The first call of a
-        run only anchors the boundary; later calls whose window index
-        advanced flush the pending block.  Either way ``next_flush_s``
-        moves to the next window edge, re-arming the screen.
+        The stream loop calls this on its first arrival and whenever an
+        arrival reaches the edge the previous call returned, *before*
+        feeding it, with ``consumed`` the count of arrivals already fed —
+        the same position the checkpoint protocol records, so the
+        boundary marker written here lands just ahead of the matching
+        checkpoint.  The first call of a run only anchors the boundary
+        (on resume, :meth:`resume` already did); later calls whose window
+        index advanced flush the pending block.  Returns the next window
+        edge, which re-arms the loop's screen.
         """
         self._consumed = consumed
         index = int(at_s // self.window_s)
@@ -313,7 +309,7 @@ enable_source_counts` switched the accumulator over to per-source
             self._boundary = index
         elif index > self._boundary:
             self._flush(index)
-        self.next_flush_s = (index + 1) * self.window_s
+        return (index + 1) * self.window_s
 
     def _flush(self, new_boundary: int) -> None:
         self._write_pending()
@@ -379,8 +375,8 @@ enable_source_counts` switched the accumulator over to per-source
     # -- ObsSink surface (fed by the platforms) ----------------------------
     #
     # There is deliberately no per-arrival or per-completion method: the
-    # stream drivers screen arrivals against ``next_flush_s`` themselves
-    # and only call :meth:`flush_boundary` at window edges, and window
+    # stream loops screen arrivals against the edge :meth:`flush_boundary`
+    # returned and only call it at window edges, and window
     # rows are derived at flush time by diffing the accumulator's
     # cumulative per-source counters (see :meth:`attach`) — a journaled
     # completion runs the exact same code a plain one does.

@@ -65,9 +65,10 @@ class PhaseProfiler:
         """Wrap ``fn`` so every call's wall-clock accrues to ``name``.
 
         The sub-phase analogue of :meth:`wrap_iter` for plain callables:
-        the cluster installs probes over its event-loop delegates
-        (heap drains, scale decisions) so the opaque ``event-loop``
-        number decomposes into where the time actually goes (see
+        the cluster probes its scaling consultations, which its one
+        replay loop already calls through the instance, so the
+        ``event-loop-scale`` share of the opaque ``event-loop`` number is
+        measured on the loop that runs unprofiled too (see
         :meth:`repro.faas.cluster.ClusterPlatform.profile_loop`).  The
         wrapper is deliberately minimal — two ``perf_counter`` reads and
         one dict update per call — because it sits on the replay hot
@@ -76,7 +77,7 @@ class PhaseProfiler:
         seconds = self._seconds
         perf_counter = time.perf_counter
 
-        def probed(*args):
+        def timed(*args):
             start = perf_counter()
             try:
                 return fn(*args)
@@ -84,7 +85,7 @@ class PhaseProfiler:
                 elapsed = perf_counter() - start
                 seconds[name] = seconds.get(name, 0.0) + elapsed
 
-        return probed
+        return timed
 
     def seconds(self, name: str) -> float:
         """Total wall-clock credited to ``name`` so far (0.0 if never)."""

@@ -35,6 +35,8 @@ from repro.faas.snapshot import (
     write_checkpoint,
 )
 from repro.metrics import PricingModel, WindowAccumulator
+from repro.obs.journal import JournalWriter
+from repro.obs.profile import PhaseProfiler
 from repro.workloads.replay import compile_trace
 from repro.workloads.trace import TraceGenerator
 
@@ -113,16 +115,40 @@ def reference():
 
 
 class TestCheckpointResume:
+    @pytest.mark.parametrize(
+        "journaled, profiled",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["plain", "journal", "profiler", "journal+profiler"],
+    )
     def test_uninterrupted_checkpointed_run_equals_run_stream(
-        self, tmp_path, reference
+        self, tmp_path, reference, journaled, profiled
     ):
+        """Every hook the checkpointed run rides on leaves the result alone."""
         platform, stream = build_platform()
         path = tmp_path / "ckpt.json"
+        journal = (
+            JournalWriter(tmp_path / "run.jsonl", window_s=3600.0)
+            if journaled
+            else None
+        )
+        profiler = PhaseProfiler() if profiled else None
         summary = run_stream_checkpointed(
-            platform, stream, WindowAccumulator(3600.0), path
+            platform,
+            stream,
+            WindowAccumulator(3600.0),
+            path,
+            journal=journal,
+            profiler=profiler,
         )
         assert summary == reference
         assert not path.exists()  # consumed checkpoints are cleaned up
+        assert "_scale" not in vars(platform)  # the probe left with the run
+        if journaled:
+            rows = (tmp_path / "run.jsonl").read_text().splitlines()
+            assert json.loads(rows[-1])["kind"] == "end"
+        if profiled:
+            assert profiler.seconds("checkpoint-write") > 0.0
+            assert profiler.seconds("event-loop-scale") > 0.0
 
     @pytest.mark.parametrize("crash_after", [1, 500, 2000, 7000])
     def test_resume_matches_uninterrupted_run(

@@ -273,7 +273,6 @@ class TestKillAndResume:
                 obs=journal,
             )
         except _Interrupt:
-            platform.stream_abort()
             journal.abort()
         rows = rows_of(tmp_path / "run.jsonl", control=True)
         assert rows[-1]["kind"] == "boundary"  # no tail, no end row
