@@ -595,11 +595,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.profile and (args.workers is not None or args.regions):
+    if args.profile and args.workers is not None:
         print(
-            "--profile times the single-process single-cluster engine; "
-            "phase timings inside worker processes or the federation are "
-            "not observable from here",
+            "--profile times the single-process engine; phase timings "
+            "inside worker processes are not observable from here",
             file=sys.stderr,
         )
         return 1
@@ -682,6 +681,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
         deploy_trace(federation, trace, exec_ms=args.exec_ms)
         gateway = FederatedGateway(platform=federation)
         expose_trace(gateway, trace)
+        if profiler is not None:
+            # Every region's scaling consultations accrue to one
+            # event-loop-scale phase; run_stream removes the probes.
+            for regional in federation.platforms.values():
+                regional.profile_loop(profiler)
+        run_started = time.perf_counter()
         summary = _journaled(
             _replay_journal(args),
             lambda obs: gateway.submit_stream(
@@ -689,6 +694,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
             ),
         )
         served = federation.served_counts()
+        if profiler is not None:
+            profiler.add("total", time.perf_counter() - run_started)
+            profiler.derive("event-loop", "total", "compile")
     elif args.workers is not None:
         # Sharded engine: split the trace's apps across worker processes
         # and merge the per-shard summaries (bit-identical to 1 worker,

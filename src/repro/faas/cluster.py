@@ -134,6 +134,19 @@ def _arrival_error(at: float, last: float) -> DeploymentError:
     return DeploymentError(f"arrival time {at} is not finite")
 
 
+def _admits(queued: int, bookable: int, capacity: int | None) -> bool:
+    """The load-shedder's admission inequality, in its one place.
+
+    ``queued`` requests (the newcomer included) are admitted while they
+    exceed the fleet's ``bookable`` slots by at most ``capacity``
+    (:attr:`FleetConfig.queue_capacity`; ``None`` admits everything).
+    Arrival processing sheds by it and routers probe it through
+    :meth:`ClusterPlatform._admission` (which :meth:`ClusterPlatform.accepts`
+    wraps), so routing failover can never disagree with actual shedding.
+    """
+    return capacity is None or queued <= capacity + bookable
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Autoscaling policy for one application's container fleet.
@@ -668,8 +681,14 @@ class ClusterPlatform:
         """Drain the event heap (optionally only up to ``until`` seconds).
 
         Returns the records completed by this call, in completion order.
+        While a stream is installed no records are built, so the call
+        skips the per-fleet record diff and costs only the events it
+        drains: a federation's regional advance calls ``run(until)`` on
+        every region several times per request, mostly draining nothing.
         """
-        before = {name: len(fleet.records) for name, fleet in self._fleets.items()}
+        batch = self._stream is None
+        if batch:
+            before = {name: len(fleet.records) for name, fleet in self._fleets.items()}
         events = self._events
         step = self._step
         while events:
@@ -684,9 +703,10 @@ class ClusterPlatform:
         self._finished.clear()
         self._dropped.clear()
         produced: list[InvocationRecord] = []
-        for name, fleet in self._fleets.items():
-            produced.extend(fleet.records[before[name]:])
-        produced.sort(key=lambda record: (record.timestamp + record.e2e_ms / 1000.0))
+        if batch:
+            for name, fleet in self._fleets.items():
+                produced.extend(fleet.records[before[name]:])
+            produced.sort(key=lambda record: (record.timestamp + record.e2e_ms / 1000.0))
         return produced
 
     def run_stream(
@@ -950,27 +970,26 @@ class ClusterPlatform:
         count arrivals they have already committed but not yet delivered
         (requests still on the wire).
         """
-        fleet = self._fleet(name)
-        capacity = fleet.fleet_config.queue_capacity
-        if capacity is None:
-            return True
         now = self.clock.now() if at is None else at
-        return (
-            len(fleet.queue) + 1 + extra
-            <= capacity + self._bookable_capacity(fleet, now)
-        )
+        return self._admission(self._fleet(name), now, extra)[1]
 
-    def bookable_capacity(self, name: str, at: float | None = None) -> int:
-        """Slots the fleet can still book at ``at`` (see ``accepts``).
+    def _admission(self, fleet: _Fleet, now: float, extra: int) -> tuple[int, bool]:
+        """A router's view of one fleet: ``(bookable slots, accepts)``.
 
-        Free slots on live containers plus every container the hard cap
-        still allows to boot, times concurrency.  Routing optimizers use
-        this as their local-capacity signal
+        The fleet's bookable capacity at ``now`` (free slots on live
+        containers plus every container the hard cap still allows to
+        boot, times concurrency) and :meth:`accepts` for one more arrival
+        (``extra`` counting requests already committed but still on the
+        wire), from a single :meth:`_bookable_capacity` scan.  Takes the
+        fleet itself, not its app name, so a federation that resolved its
+        routing targets once pays no lookup per request; routing
+        optimizers use the slot count as their local-capacity signal
         (:class:`repro.faas.region.ProbabilisticOffloadPolicy`).
         """
-        fleet = self._fleet(name)
-        now = self.clock.now() if at is None else at
-        return self._bookable_capacity(fleet, now)
+        bookable = self._bookable_capacity(fleet, now)
+        return bookable, _admits(
+            len(fleet.queue) + 1 + extra, bookable, fleet.fleet_config.queue_capacity
+        )
 
     def live_containers(self, name: str, at: float | None = None) -> int:
         """Containers not yet expired at ``at`` (ready or still booting).
@@ -1165,7 +1184,7 @@ class ClusterPlatform:
         shed_self = False
         if capacity is not None:
             bookable = self._bookable_capacity(fleet, at)
-            while len(fleet.queue) - bookable > capacity:
+            while not _admits(len(fleet.queue), bookable, capacity):
                 shed = fleet.queue.pop()  # newest arrival loses
                 fleet.rejected += 1
                 shed_self = shed_self or shed.token == token
@@ -1294,8 +1313,9 @@ class ClusterPlatform:
         (ready or booting) containers plus every container the hard cap
         still allows to boot.  The single source of truth for both the
         load-shedder in arrival processing and the router-facing
-        :meth:`accepts` — they must never disagree, or routing failover
-        would diverge from actual shedding."""
+        :meth:`_admission` (and :meth:`accepts`) — they must never disagree,
+        or routing failover would diverge from actual shedding (both
+        compare it through :func:`_admits`)."""
         config = fleet.fleet_config
         alive = spare = 0
         for container in fleet.containers:

@@ -631,13 +631,42 @@ class RouteAssignment:
     network_ms: float
 
 
-@dataclass(frozen=True)
-class _Delivery:
-    region: str
-    app: str
-    entry: str
-    qos: str | None = None
-    wire_ms: float = 0.0
+def _origin_time_error(at: float, last: float) -> WorkloadError:
+    """The error for an origin time outside ``[last, inf)``, NaN included."""
+    if at < last:
+        return WorkloadError(
+            f"origin time {at} precedes an earlier submission ({last})"
+        )
+    return WorkloadError(f"origin time {at} is not finite")
+
+
+class _Target:
+    """One region a request from a given origin may be routed to.
+
+    Resolved once per ``(origin, app)`` (see
+    :meth:`RegionFederation._resolve_targets`), so building a routing
+    decision's :class:`RegionState` list reads fleet counters directly
+    instead of re-deriving topology facts per request.
+    """
+
+    __slots__ = ("name", "platform", "fleet", "latency_ms", "tier", "app", "key")
+
+    def __init__(
+        self,
+        name: str,
+        platform: ClusterPlatform,
+        app: str,
+        latency_ms: float,
+        tier: str,
+    ) -> None:
+        self.name = name
+        self.platform = platform
+        self.fleet = platform._fleet(app)
+        self.latency_ms = latency_ms
+        self.tier = tier
+        self.app = app
+        #: The (region, app) key of the federation's pending/served maps.
+        self.key = (name, app)
 
 
 class RegionFederation:
@@ -683,8 +712,14 @@ class RegionFederation:
             )
             for spec in topology.regions
         }
+        self._default_origin = topology.names()[0]
+        #: (origin, app) -> the regions hosting ``app``, in topology order:
+        #: the routing target table, filled lazily, cleared by deploy().
+        self._target_table: dict[tuple[str, str], tuple[_Target, ...]] = {}
         self.assignments: list[RouteAssignment] = []
-        self._deliveries: list[tuple[float, int, _Delivery]] = []
+        #: Forwarded arrivals on the wire: (delivery time, seq, (target,
+        #: entry, qos)).
+        self._deliveries: list[tuple[float, int, tuple]] = []
         self._delivery_seq = itertools.count()
         self._last_submit = self.clock.now()
         self._record_marks: dict[tuple[str, str], int] = {}
@@ -714,12 +749,20 @@ class RegionFederation:
     ) -> str:
         """Deploy an application to every region (or a named subset)."""
         targets = tuple(regions) if regions is not None else self.topology.names()
+        self._target_table.clear()
         for name in targets:
             self.platform(name).deploy(config, plan=plan, fleet=fleet)
         return config.name
 
     def platform(self, region: str) -> ClusterPlatform:
-        """The one region's underlying cluster (for inspection/tests)."""
+        """The one region's underlying cluster (for inspection/tests).
+
+        Deploy applications through :meth:`deploy`, not through this
+        accessor: routing reads each ``(origin, app)``'s hosting regions
+        from a target table that only :meth:`deploy` invalidates, so an
+        app deployed here after the first routed request for it is never
+        routed to this region.
+        """
         try:
             return self.platforms[region]
         except KeyError:
@@ -746,47 +789,49 @@ class RegionFederation:
         Advances every region's event loop to ``at`` first, so the policy
         decides against fleet state that is current at the request's
         origin time, then schedules delivery at ``at + latency/1000``.
-        Origin times must be non-decreasing across calls (replay order).
-        ``qos`` tags the request with its QoS class; a policy returning
-        :data:`DROP` discards the request here — the class's drop
-        penalty is charged (streamed to the accumulator in streaming
-        mode, counted in :meth:`dropped_counts` always) and :data:`DROP`
-        is returned instead of a region name.
+        Origin times must be finite and non-decreasing across calls
+        (replay order).  ``qos`` tags the request with its QoS class; a
+        policy returning :data:`DROP` discards the request here — the
+        class's drop penalty is charged (streamed to the accumulator in
+        streaming mode, counted in :meth:`dropped_counts` always) and
+        :data:`DROP` is returned instead of a region name.  A rejected
+        submission (bad time, origin, app or class) changes no state.
         """
-        origin_name = origin if origin is not None else self.topology.names()[0]
-        self.topology.spec(origin_name)  # validate
+        if not self._last_submit <= at < math.inf:
+            raise _origin_time_error(at, self._last_submit)
+        return self._route(name, entry, at, origin, qos)
+
+    def _route(
+        self, name: str, entry: str, at: float, origin: str | None, qos: str | None
+    ) -> str:
+        """:meth:`submit` after its time check (``run_stream`` checks inline)."""
+        origin_name = self._default_origin if origin is None else origin
+        targets = self._target_table.get((origin_name, name))
+        if targets is None:
+            targets = self._resolve_targets(origin_name, name)
         if qos is not None and qos not in self.qos_classes:
             raise SpecError(
                 f"unknown QoS class {qos!r} "
                 f"(federation knows {sorted(self.qos_classes)})"
             )
-        if at < self._last_submit:
-            raise WorkloadError(
-                f"origin time {at} precedes an earlier submission ({self._last_submit})"
-            )
         self._last_submit = at
         self._advance(at)
-        states = [
-            RegionState(
-                name=region,
-                load=self.platforms[region].load(name)
-                + self._pending.get((region, name), 0),
-                accepts=self.platforms[region].accepts(
-                    name, at=at, extra=self._pending.get((region, name), 0)
-                ),
-                latency_ms=self.topology.latency_ms(origin_name, region),
-                tier=self.topology.spec(region).tier,
-                capacity=max(
-                    0,
-                    self.platforms[region].bookable_capacity(name, at=at)
-                    - self._pending.get((region, name), 0),
-                ),
+        pending = self._pending
+        states = []
+        for target in targets:
+            waiting = pending.get(target.key, 0)
+            fleet = target.fleet
+            bookable, accepts = target.platform._admission(fleet, at, waiting)
+            states.append(
+                RegionState(
+                    name=target.name,
+                    load=len(fleet.queue) + fleet.in_flight + waiting,
+                    accepts=accepts,
+                    latency_ms=target.latency_ms,
+                    tier=target.tier,
+                    capacity=max(0, bookable - waiting),
+                )
             )
-            for region in self.topology.names()
-            if name in self.platforms[region].app_names()
-        ]
-        if not states:
-            raise DeploymentError(f"app {name!r} is deployed in no region")
         chosen = self.policy.choose(origin_name, states, at=at, qos=qos)
         if chosen == DROP:
             self._drops[name] = self._drops.get(name, 0) + 1
@@ -796,12 +841,16 @@ class RegionFederation:
                 )
                 self._stream_sinks.shed(at, name, qos, penalty)
             return DROP
-        if chosen not in {state.name for state in states}:
+        for target in targets:
+            if target.name == chosen:
+                break
+        else:
             raise SpecError(
                 f"policy {self.policy.name!r} chose invalid region {chosen!r}"
             )
-        network_ms = self.topology.latency_ms(origin_name, chosen)
-        self._served[(chosen, name)] = self._served.get((chosen, name), 0) + 1
+        network_ms = target.latency_ms
+        key = target.key
+        self._served[key] = self._served.get(key, 0) + 1
         if not self._streaming:
             # Streaming replays must not retain one RouteAssignment per
             # request; they report routing through served_counts() and
@@ -818,20 +867,34 @@ class RegionFederation:
             )
         heapq.heappush(
             self._deliveries,
-            (
-                at + network_ms / 1000.0,
-                next(self._delivery_seq),
-                _Delivery(
-                    region=chosen,
-                    app=name,
-                    entry=entry,
-                    qos=qos,
-                    wire_ms=network_ms,
-                ),
-            ),
+            (at + network_ms / 1000.0, next(self._delivery_seq), (target, entry, qos)),
         )
-        self._pending[(chosen, name)] = self._pending.get((chosen, name), 0) + 1
+        pending[key] = pending.get(key, 0) + 1
         return chosen
+
+    def _resolve_targets(self, origin: str, name: str) -> tuple[_Target, ...]:
+        """Fill the target table's ``(origin, name)`` entry.
+
+        ``SpecError`` for an unknown origin, ``DeploymentError`` for an
+        app deployed in no region.
+        """
+        topology = self.topology
+        topology.spec(origin)  # validate
+        targets = tuple(
+            _Target(
+                region,
+                platform,
+                name,
+                topology.latency_ms(origin, region),
+                topology.spec(region).tier,
+            )
+            for region, platform in self.platforms.items()
+            if name in platform._fleets
+        )
+        if not targets:
+            raise DeploymentError(f"app {name!r} is deployed in no region")
+        self._target_table[(origin, name)] = targets
+        return targets
 
     def run(self, until: float | None = None) -> list[InvocationRecord]:
         """Deliver pending forwards and drain every region's event loop.
@@ -842,7 +905,7 @@ class RegionFederation:
         """
         while self._deliveries and (until is None or self._deliveries[0][0] <= until):
             when, _, delivery = heapq.heappop(self._deliveries)
-            self._deliver(when, delivery)
+            self._deliver(when, *delivery)
         for platform in self.platforms.values():
             platform.run(until=until)
         produced: list[InvocationRecord] = []
@@ -901,18 +964,28 @@ class RegionFederation:
             # per arrival, journal work only at window edges.
             obs_flush = math.inf if obs is None else -math.inf
             fed = 0
+            last = self._last_submit
+            route = self._route
+            observe_arrival = accumulator.observe_arrival
             for item in arrivals:
                 at = item[0]
+                # The cluster loop's one compare rejects past, NaN and
+                # infinite times alike, before the boundary screen (whose
+                # +inf "journal off" edge an infinite time would reach) or
+                # the accumulator can see them.
+                if not last <= at < math.inf:
+                    raise _origin_time_error(at, last)
+                last = at
                 if at >= obs_flush:
                     obs_flush = obs.flush_boundary(at, fed)
                 fed += 1
-                accumulator.observe_arrival(at)
-                self.submit(
+                observe_arrival(at)
+                route(
                     item[1],
                     item[2],
-                    at=at,
-                    origin=item[3] if len(item) > 3 else None,
-                    qos=item[4] if len(item) > 4 else None,
+                    at,
+                    item[3] if len(item) > 3 else None,
+                    item[4] if len(item) > 4 else None,
                 )
             self.run()
             for platform in self.platforms.values():
@@ -923,6 +996,7 @@ class RegionFederation:
             for platform in self.platforms.values():
                 platform._stream = None
                 platform._obs = None
+                platform._unprofile_loop()
         return accumulator.finalize()
 
     def _advance(self, to: float) -> None:
@@ -931,28 +1005,32 @@ class RegionFederation:
         Deliveries due by ``to`` are injected in heap order before each
         region drains, so regional arrival streams stay non-decreasing.
         """
-        while self._deliveries and self._deliveries[0][0] <= to:
-            when, _, delivery = heapq.heappop(self._deliveries)
-            self._deliver(when, delivery)
+        deliveries = self._deliveries
+        while deliveries and deliveries[0][0] <= to:
+            when, _, delivery = heapq.heappop(deliveries)
+            self._deliver(when, *delivery)
         for platform in self.platforms.values():
             platform.run(until=to)
 
-    def _deliver(self, when: float, delivery: _Delivery) -> None:
+    def _deliver(
+        self, when: float, target: _Target, entry: str, qos: str | None
+    ) -> None:
         """Hand one forwarded arrival to its region at its delivery time.
 
         All regions first drain their events up to ``when`` so the
         arrival lands on fleet state that is current in global time.
+        The arrival then goes through the region's own event heap
+        (:meth:`ClusterPlatform.submit`), deliberately: completions of
+        one app from several regions fold into the same per-(window,
+        app) float sums, so the order regions drain and deliveries land
+        in fixes the summary's bits, and the heap is what fixes it.
         """
         for platform in self.platforms.values():
             platform.run(until=when)
-        self.platforms[delivery.region].submit(
-            delivery.app,
-            delivery.entry,
-            at=when,
-            qos=delivery.qos,
-            wire_ms=delivery.wire_ms,
+        target.platform.submit(
+            target.app, entry, at=when, qos=qos, wire_ms=target.latency_ms
         )
-        self._pending[(delivery.region, delivery.app)] -= 1
+        self._pending[target.key] -= 1
 
     # -- results -----------------------------------------------------------
 

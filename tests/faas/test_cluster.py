@@ -1,5 +1,7 @@
 """Tests for the cluster-scale concurrent FaaS simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
@@ -253,6 +255,32 @@ class TestOrderingAndErrors:
         platform.deploy(config)
         with pytest.raises(WorkloadError):
             platform.fleet_stats("app")
+
+    def test_run_returns_only_this_calls_records(self, platform_config, config):
+        platform = make_platform(platform_config)
+        platform.deploy(config)
+        platform.invoke("app", "main", at=0.0)  # completed outside run()
+        platform.submit("app", "main", at=10.0)
+        first = platform.run(until=5.0)
+        assert first == []
+        second = platform.run()
+        assert [record.timestamp for record in second] == [10.0]
+        assert platform.run() == []
+
+    def test_run_breaks_completion_ties_by_deploy_order(
+        self, platform_config, config
+    ):
+        # "late" is deployed first but started second; both complete at
+        # the same instant, and the returned order is deploy order.
+        platform = make_platform(platform_config)
+        platform.deploy(replace(config, name="late"))
+        platform.deploy(replace(config, name="early"))
+        platform.submit("early", "main", at=0.0)
+        platform.submit("late", "main", at=0.0)
+        records = platform.run()
+        assert [record.app for record in records] == ["late", "early"]
+        finish = [r.timestamp + r.e2e_ms / 1000.0 for r in records]
+        assert finish[0] == finish[1]
 
     def test_records_per_app(self, platform_config, config):
         platform = make_platform(platform_config)

@@ -289,6 +289,23 @@ class TestFederationTraffic:
         with pytest.raises(DeploymentError):
             federation.submit("app", "main", at=0.0)
 
+    def test_rejected_submission_changes_no_state(self, platform_config, config):
+        federation = make_federation(platform_config, RoundRobinPolicy())
+        federation.deploy(config)
+        with pytest.raises(DeploymentError):
+            federation.submit("ghost", "main", at=50.0)
+        with pytest.raises(SpecError):
+            federation.submit("app", "main", at=50.0, origin="mars")
+        # The failed submissions moved no cursor: an earlier time is fine.
+        assert federation.submit("app", "main", at=1.0) in ("us", "eu", "ap")
+
+    def test_deploy_refreshes_routing_targets(self, platform_config, config):
+        federation = make_federation(platform_config, LocalityPolicy())
+        federation.deploy(config, regions=("eu",))
+        assert federation.submit("app", "main", at=0.0, origin="us") == "eu"
+        federation.deploy(config, regions=("us",))
+        assert federation.submit("app", "main", at=1.0, origin="us") == "us"
+
     def test_partial_deployment_routes_to_hosting_regions_only(
         self, platform_config, config
     ):

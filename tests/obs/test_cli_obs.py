@@ -63,6 +63,14 @@ class TestReplayFlags:
         for phase in ("compile", "event-loop", "checkpoint-write", "total"):
             assert phase in out
 
+    def test_profile_composes_with_regions(self, capsys):
+        assert main(REPLAY + ["--regions", "us,eu", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "routing  :" in out
+        assert "phase" in out
+        for phase in ("compile", "event-loop", "event-loop-scale", "total"):
+            assert phase in out
+
     def test_progress_heartbeats_on_stderr(self, capsys):
         assert main(REPLAY + ["--progress"]) == 0
         err = capsys.readouterr().err
